@@ -2,7 +2,6 @@
 // program pass, and each perturbed or stale answer is rejected.
 #include <cstdio>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
